@@ -15,9 +15,9 @@
 //! * a **negation-heavy bucket** — a larger corpus of nested-negation queries over
 //!   richer DTDs, all dispatching to the EXPTIME fixpoint engine (the engine the
 //!   dirty-worklist rework targets);
-//! * the warm-workspace batch path: `Workspace::decide_batch` over a corpus of 100+
-//!   distinct queries on one registered DTD (single-threaded, empty decision cache)
-//!   against the cold per-query loop;
+//! * the warm-workspace batch path: `Workspace::decide_batch_governed` over a corpus
+//!   of 100+ distinct queries on one registered DTD (single-threaded, empty decision
+//!   cache) against the cold per-query loop;
 //! * a **thread-scaling sweep** of the same batch at 1/2/4/8 workers (fresh workspace
 //!   per run).  The report records the host's `available_parallelism` alongside — on a
 //!   single-core container the sweep measures scheduling overhead, not parallel
@@ -50,7 +50,7 @@ use xpsat_bench::{chain_query, random_positive_query, rng};
 use xpsat_core::{Budget, Solver};
 use xpsat_dtd::{parse_dtd, Dtd, DtdArtifacts};
 use xpsat_plan::{compile, vm, CanonicalQuery, CompileLimits, DecisionProgram, Scratch};
-use xpsat_service::{engine_slug, CanonicalCache, Workspace};
+use xpsat_service::{engine_slug, BatchScratch, CanonicalCache, Workspace};
 use xpsat_xpath::{parse_path, Path};
 
 struct EngineCorpus {
@@ -332,7 +332,17 @@ fn run() {
                 let dtd_id = ws.register_dtd_value(batch_dtd.clone());
                 let ids: Vec<_> = batch_qs.iter().map(|q| ws.intern_path(q.clone())).collect();
                 let start = Instant::now();
-                std::hint::black_box(ws.decide_batch(dtd_id, &ids, threads).unwrap());
+                std::hint::black_box(
+                    ws.decide_batch_governed(
+                        dtd_id,
+                        &ids,
+                        threads,
+                        None,
+                        None,
+                        &mut BatchScratch::default(),
+                    )
+                    .unwrap(),
+                );
                 start.elapsed().as_nanos() as f64 / batch_qs.len() as f64
             })
             .collect();
@@ -433,7 +443,9 @@ fn run() {
                 .iter()
                 .map(|q| publisher.intern_path(q.clone()))
                 .collect();
-            publisher.decide_batch(d, &ids, 1).unwrap();
+            publisher
+                .decide_batch_governed(d, &ids, 1, None, None, &mut BatchScratch::default())
+                .unwrap();
             shared_classes = shared.len();
 
             let mut subscriber = Workspace::default().with_canonical_cache(Arc::clone(&shared));
@@ -443,7 +455,11 @@ fn run() {
                 .map(|q| subscriber.intern_path(q.clone()))
                 .collect();
             let start = Instant::now();
-            std::hint::black_box(subscriber.decide_batch(d, &ids, 1).unwrap());
+            std::hint::black_box(
+                subscriber
+                    .decide_batch_governed(d, &ids, 1, None, None, &mut BatchScratch::default())
+                    .unwrap(),
+            );
             let per_query = start.elapsed().as_nanos() as f64 / batch_qs.len() as f64;
             shared_hits = subscriber.stats().canonical_hits;
             shared_recomputes = subscriber.stats().decisions_computed;

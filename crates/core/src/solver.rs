@@ -25,7 +25,7 @@ use crate::sat::{SatError, Satisfiability};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use xpsat_dtd::{Dtd, DtdArtifacts};
+use xpsat_dtd::{Dtd, DtdArtifacts, DtdClass};
 use xpsat_xpath::{Features, Path};
 
 /// Recommended stack size for threads that run [`Solver`] dispatch on untrusted
@@ -93,6 +93,16 @@ pub struct Decision {
 }
 
 impl Decision {
+    /// A verdict of a complete engine.
+    fn complete(result: Satisfiability, engine: EngineKind) -> Decision {
+        Decision {
+            result,
+            engine,
+            complete: true,
+            exhausted: None,
+        }
+    }
+
     fn exhausted(engine: EngineKind, cause: Exhausted) -> Decision {
         Decision {
             result: Satisfiability::Unknown,
@@ -128,7 +138,9 @@ pub struct RoutePrediction {
 }
 
 impl Solver {
-    /// Predict routing for `(artifacts, query)` from features × DTD properties.
+    /// Predict routing for `(artifacts, query)` from features × DTD properties.  The
+    /// AST engine is the first route of the dispatch table that admits the instance
+    /// — the same table [`Solver::decide_budgeted`] walks.
     pub fn predict_route(artifacts: &DtdArtifacts, query: &Path) -> RoutePrediction {
         let features = Features::of_path(query);
         let props = artifacts.properties();
@@ -136,30 +148,83 @@ impl Solver {
         let vm_eligible = !features.has_upward()
             && !features.data_value
             && (!features.negation || duplicate_free);
-        let ast_engine = if downward::supports_features(&features) {
-            EngineKind::Downward
-        } else if sibling::supports(query) {
-            EngineKind::Sibling
-        } else if positive::supports_features(&features) {
-            EngineKind::Positive
-        } else if negation::supports_features(&features) {
-            EngineKind::NegationFixpoint
-        } else if (features.has_upward()
-            && !features.negation
-            && !features.qualifier
-            && !features.union
-            && !features.has_recursion()
-            && !features.has_sibling()
-            && !features.data_value)
-            || (features.has_recursion() && !artifacts.class().recursive)
-        {
-            EngineKind::Rewritten
-        } else {
-            EngineKind::Enumeration
-        };
+        let ast_engine = ROUTES
+            .into_iter()
+            .find(|route| route.admits(&features, query, artifacts.class()))
+            .map_or(EngineKind::Enumeration, Route::engine);
         RoutePrediction {
             vm_eligible,
             ast_engine,
+        }
+    }
+}
+
+/// One step of the AST dispatch: an engine together with the fragment test that
+/// admits an instance to it.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// Theorem 4.1: `X(↓, ↓*, ∪)`.
+    Downward,
+    /// Theorem 7.1: `X(→, ←)`.
+    Sibling,
+    /// Theorem 4.4: `X(↓, ↓*, ∪, [], =)`, preceded by Theorem 6.8's PTIME unsat
+    /// test under disjunction-free DTDs.
+    Positive,
+    /// Theorems 5.2/5.3: `X(↓, ↓*, ∪, [], ¬)`.
+    Negation,
+    /// Theorem 6.8(2): upward axes without qualifiers, union or recursion are
+    /// rewritten into a downward query.
+    UpDown,
+    /// Proposition 6.1: recursive axes are eliminated under a nonrecursive DTD and
+    /// the dispatch retried.
+    Unrecurse,
+    /// Proposition 6.4: bounded instance enumeration, admitting everything.
+    Enumeration,
+}
+
+/// The dispatch order: cheapest complete engine first.  A route that admits an
+/// instance but yields no verdict falls through to the next admitting route.
+const ROUTES: [Route; 7] = [
+    Route::Downward,
+    Route::Sibling,
+    Route::Positive,
+    Route::Negation,
+    Route::UpDown,
+    Route::Unrecurse,
+    Route::Enumeration,
+];
+
+impl Route {
+    /// Does this route's fragment admit the instance?
+    fn admits(self, features: &Features, query: &Path, class: &DtdClass) -> bool {
+        match self {
+            Route::Downward => downward::supports_features(features),
+            Route::Sibling => sibling::supports(query),
+            Route::Positive => positive::supports_features(features),
+            Route::Negation => negation::supports_features(features),
+            Route::UpDown => {
+                features.has_upward()
+                    && !features.negation
+                    && !features.qualifier
+                    && !features.union
+                    && !features.has_recursion()
+                    && !features.has_sibling()
+                    && !features.data_value
+            }
+            Route::Unrecurse => features.has_recursion() && !class.recursive,
+            Route::Enumeration => true,
+        }
+    }
+
+    /// The engine this route reports when it answers.
+    fn engine(self) -> EngineKind {
+        match self {
+            Route::Downward => EngineKind::Downward,
+            Route::Sibling => EngineKind::Sibling,
+            Route::Positive => EngineKind::Positive,
+            Route::Negation => EngineKind::NegationFixpoint,
+            Route::UpDown | Route::Unrecurse => EngineKind::Rewritten,
+            Route::Enumeration => EngineKind::Enumeration,
         }
     }
 }
@@ -172,14 +237,6 @@ pub struct SolverConfig {
     /// Default step/deadline budget applied to every decision (unlimited by default;
     /// callers can override per call with [`Solver::decide_budgeted`]).
     pub budget: Budget,
-}
-
-/// Why an engine produced no verdict: outside its fragment, or out of budget.
-enum EngineFailure {
-    /// The engine rejected the instance; dispatch may try the next engine.
-    Rejected,
-    /// The budget ran dry mid-engine; dispatch must stop and report it.
-    Exhausted(Exhausted),
 }
 
 /// Entries the negation-analysis memo holds before it is wholesale cleared; generous
@@ -235,17 +292,24 @@ impl Solver {
         )
     }
 
-    /// The negation engine, fronted by the per-`(artifact, query)` analysis memo.
-    fn decide_negation_cached(
+    /// The negation engine, fronted by the per-`(artifact, query)` analysis memo: a
+    /// verdict, an exhaustion, or `None` when the engine rejects the instance.
+    fn decide_negation(
         &self,
         artifacts: &DtdArtifacts,
         query: &Path,
         meter: &BudgetMeter,
-    ) -> Result<Satisfiability, EngineFailure> {
+    ) -> Option<Decision> {
+        let engine = EngineKind::NegationFixpoint;
+        let decision = |outcome: Result<Satisfiability, Exhausted>| match outcome {
+            Ok(result) => Decision::complete(result, engine),
+            Err(cause) => Decision::exhausted(engine, cause),
+        };
         let Some(compiled) = artifacts.compiled() else {
             // No compile means no analysis to reuse; the plain path handles the
             // vacuous-DTD verdict (and fragment rejection) directly.
-            return negation::decide_with(artifacts, query).map_err(|_| EngineFailure::Rejected);
+            let result = negation::decide_with(artifacts, query).ok()?;
+            return Some(Decision::complete(result, engine));
         };
         let key = (artifacts.uid(), query.right_assoc().to_string());
         let cached = self
@@ -257,17 +321,18 @@ impl Solver {
             .cloned();
         if let Some(prepared) = cached {
             self.negation_memo.hits.fetch_add(1, Ordering::Relaxed);
-            return negation::decide_prepared_budgeted(compiled, &prepared, meter)
-                .map_err(EngineFailure::Exhausted);
+            return Some(decision(negation::decide_prepared_budgeted(
+                compiled, &prepared, meter,
+            )));
         }
         let prepared = match negation::prepare(compiled, query) {
             Ok(prepared) => Arc::new(prepared),
             Err(SatError::BudgetExceeded { .. }) => {
                 // The closure itself blew the analysis cap: the instance is
                 // budget-shaped, not fragment-shaped.
-                return Err(EngineFailure::Exhausted(Exhausted::Steps));
+                return Some(Decision::exhausted(engine, Exhausted::Steps));
             }
-            Err(_) => return Err(EngineFailure::Rejected),
+            Err(_) => return None,
         };
         self.negation_memo.built.fetch_add(1, Ordering::Relaxed);
         {
@@ -281,8 +346,9 @@ impl Solver {
             }
             memo.insert(key, Arc::clone(&prepared));
         }
-        negation::decide_prepared_budgeted(compiled, &prepared, meter)
-            .map_err(EngineFailure::Exhausted)
+        Some(decision(negation::decide_prepared_budgeted(
+            compiled, &prepared, meter,
+        )))
     }
 
     /// Decide whether some document conforms to `dtd` and satisfies `query`.
@@ -314,168 +380,112 @@ impl Solver {
         budget: &Budget,
     ) -> Decision {
         let meter = budget.meter();
-        // One feature scan serves every fragment test below (the engines' own
+        // One feature scan serves every fragment test (the engines' own
         // `supports(query)` wrappers would each rescan the path).
         let features = Features::of_path(query);
         let class = artifacts.class();
-
-        if downward::supports_features(&features) {
-            if let Ok(result) = downward::decide_with(artifacts, query) {
-                return Decision {
-                    result,
-                    engine: EngineKind::Downward,
-                    complete: true,
-                    exhausted: None,
-                };
-            }
-        }
-        if sibling::supports(query) {
-            if let Ok(result) = sibling::decide_with(artifacts, query) {
-                return Decision {
-                    result,
-                    engine: EngineKind::Sibling,
-                    complete: true,
-                    exhausted: None,
-                };
-            }
-        }
-        if positive::supports_features(&features) {
-            // Prefer the PTIME decision under disjunction-free DTDs; the witness (when
-            // needed) still comes from the positive engine, which is complete here too.
-            if !features.data_value
-                && class.disjunction_free
-                && djfree::supports_query_features(&features)
-            {
-                if let Ok(false) = djfree::decide_with(artifacts, query) {
-                    return Decision {
-                        result: Satisfiability::Unsatisfiable,
-                        engine: EngineKind::DisjunctionFree,
-                        complete: true,
-                        exhausted: None,
-                    };
-                }
-            }
-            match positive::decide_with_budget(artifacts, query, &meter) {
-                Err(cause) => return Decision::exhausted(EngineKind::Positive, cause),
-                Ok(Ok(result)) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::Positive,
-                        complete: true,
-                        exhausted: None,
-                    };
-                }
-                Ok(Err(_)) => {}
-            }
-        }
-        if negation::supports_features(&features) {
-            match self.decide_negation_cached(artifacts, query, &meter) {
-                Ok(result) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::NegationFixpoint,
-                        complete: true,
-                        exhausted: None,
-                    }
-                }
-                Err(EngineFailure::Exhausted(cause)) => {
-                    return Decision::exhausted(EngineKind::NegationFixpoint, cause)
-                }
-                Err(EngineFailure::Rejected) => {}
-            }
-        }
-        // Upward axes without qualifiers/union/recursion: Theorem 6.8(2)'s rewriting
-        // turns the query into a downward one (or proves it unsatisfiable at the root).
-        if features.has_upward()
-            && !features.negation
-            && !features.qualifier
-            && !features.union
-            && !features.has_recursion()
-            && !features.has_sibling()
-            && !features.data_value
-        {
-            return match xpsat_xpath::rewrite::updown_to_qualifiers(query) {
-                None => Decision {
-                    result: Satisfiability::Unsatisfiable,
-                    engine: EngineKind::Rewritten,
-                    complete: true,
-                    exhausted: None,
-                },
-                Some(rewritten) => {
-                    match positive::decide_with_budget(artifacts, &rewritten, &meter) {
-                        Err(cause) => Decision::exhausted(EngineKind::Rewritten, cause),
-                        Ok(Ok(result)) => Decision {
-                            result,
-                            engine: EngineKind::Rewritten,
-                            complete: true,
-                            exhausted: None,
-                        },
-                        Ok(Err(_)) => self.enumerate(artifacts, query, &meter),
-                    }
-                }
-            };
-        }
-        // Nonrecursive DTDs: eliminate the recursive axes (Proposition 6.1) and try the
-        // dispatch once more; this turns e.g. the EXPTIME fragment into the PSPACE one.
-        if features.has_recursion() && !class.recursive {
-            if let Some(rewritten) =
-                crate::transform::eliminate_recursion_with(class.depth_bound, query)
-            {
-                let inner = self.decide_no_recursion_retry(artifacts, &rewritten, &meter);
-                if inner.exhausted.is_some() {
-                    return inner;
-                }
-                if inner.result.is_definite() {
-                    return Decision {
-                        result: inner.result,
-                        engine: EngineKind::Rewritten,
-                        complete: inner.complete,
-                        exhausted: None,
-                    };
-                }
-            }
-        }
-        self.enumerate(artifacts, query, &meter)
+        ROUTES
+            .into_iter()
+            .filter(|route| route.admits(&features, query, class))
+            .find_map(|route| self.run_route(route, artifacts, query, &features, &meter))
+            .expect("enumeration admits and answers every instance")
     }
 
-    /// Second-round dispatch used after recursion elimination (never recurses further).
+    /// Run one admitted route; `None` falls through to the next admitting route.
+    fn run_route(
+        &self,
+        route: Route,
+        artifacts: &DtdArtifacts,
+        query: &Path,
+        features: &Features,
+        meter: &BudgetMeter,
+    ) -> Option<Decision> {
+        let engine = route.engine();
+        match route {
+            Route::Downward => downward::decide_with(artifacts, query)
+                .ok()
+                .map(|result| Decision::complete(result, engine)),
+            Route::Sibling => sibling::decide_with(artifacts, query)
+                .ok()
+                .map(|result| Decision::complete(result, engine)),
+            Route::Positive => {
+                // Prefer the PTIME decision under disjunction-free DTDs; the witness
+                // (when needed) still comes from the positive engine, which is
+                // complete here too.
+                if !features.data_value
+                    && artifacts.class().disjunction_free
+                    && djfree::supports_query_features(features)
+                    && matches!(djfree::decide_with(artifacts, query), Ok(false))
+                {
+                    return Some(Decision::complete(
+                        Satisfiability::Unsatisfiable,
+                        EngineKind::DisjunctionFree,
+                    ));
+                }
+                self.decide_positive(artifacts, query, meter)
+            }
+            Route::Negation => self.decide_negation(artifacts, query, meter),
+            Route::UpDown => Some(match xpsat_xpath::rewrite::updown_to_qualifiers(query) {
+                // Climbing above the root: unsatisfiable.
+                None => Decision::complete(Satisfiability::Unsatisfiable, engine),
+                Some(rewritten) => {
+                    match positive::decide_with_budget(artifacts, &rewritten, meter) {
+                        Err(cause) => Decision::exhausted(engine, cause),
+                        Ok(Ok(result)) => Decision::complete(result, engine),
+                        Ok(Err(_)) => self.enumerate(artifacts, query, meter),
+                    }
+                }
+            }),
+            Route::Unrecurse => {
+                // This turns e.g. the EXPTIME fragment into the PSPACE one.
+                let rewritten = crate::transform::eliminate_recursion_with(
+                    artifacts.class().depth_bound,
+                    query,
+                )?;
+                let inner = self.decide_no_recursion_retry(artifacts, &rewritten, meter);
+                if inner.exhausted.is_some() {
+                    return Some(inner);
+                }
+                inner
+                    .result
+                    .is_definite()
+                    .then_some(Decision { engine, ..inner })
+            }
+            Route::Enumeration => Some(self.enumerate(artifacts, query, meter)),
+        }
+    }
+
+    /// The positive engine: a verdict, an exhaustion, or `None` when it rejects.
+    fn decide_positive(
+        &self,
+        artifacts: &DtdArtifacts,
+        query: &Path,
+        meter: &BudgetMeter,
+    ) -> Option<Decision> {
+        match positive::decide_with_budget(artifacts, query, meter) {
+            Err(cause) => Some(Decision::exhausted(EngineKind::Positive, cause)),
+            Ok(Ok(result)) => Some(Decision::complete(result, EngineKind::Positive)),
+            Ok(Err(_)) => None,
+        }
+    }
+
+    /// Second-round dispatch used after recursion elimination (never recurses
+    /// further, and skips the disjunction-free short-cut).
     fn decide_no_recursion_retry(
         &self,
         artifacts: &DtdArtifacts,
         query: &Path,
         meter: &BudgetMeter,
     ) -> Decision {
-        if positive::supports(query) {
-            match positive::decide_with_budget(artifacts, query, meter) {
-                Err(cause) => return Decision::exhausted(EngineKind::Positive, cause),
-                Ok(Ok(result)) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::Positive,
-                        complete: true,
-                        exhausted: None,
-                    };
-                }
-                Ok(Err(_)) => {}
-            }
-        }
-        if negation::supports(query) {
-            match self.decide_negation_cached(artifacts, query, meter) {
-                Ok(result) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::NegationFixpoint,
-                        complete: true,
-                        exhausted: None,
-                    }
-                }
-                Err(EngineFailure::Exhausted(cause)) => {
-                    return Decision::exhausted(EngineKind::NegationFixpoint, cause)
-                }
-                Err(EngineFailure::Rejected) => {}
-            }
-        }
-        self.enumerate(artifacts, query, meter)
+        positive::supports(query)
+            .then(|| self.decide_positive(artifacts, query, meter))
+            .flatten()
+            .or_else(|| {
+                negation::supports(query)
+                    .then(|| self.decide_negation(artifacts, query, meter))
+                    .flatten()
+            })
+            .unwrap_or_else(|| self.enumerate(artifacts, query, meter))
     }
 
     fn enumerate(&self, artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Decision {

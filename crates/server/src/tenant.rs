@@ -200,6 +200,31 @@ mod tests {
         assert!(stats.contains(r#""programs_compiled":0"#), "{stats}");
     }
 
+    /// Bob's `stats` after the cross-tenant scenario above, with `extra` spliced
+    /// into his check.
+    fn cross_tenant_stats(extra: &str) -> String {
+        let map = TenantMap::new(ServerConfig::default()).unwrap();
+        let a = map.tenant("alice").unwrap();
+        let b = map.tenant("bob").unwrap();
+        let dtd = r#"{"op":"register_dtd","dtd":"r -> a*; a -> b, c; b -> #; c -> #;"}"#;
+        a.proto().handle_line(dtd);
+        a.proto()
+            .handle_line(r#"{"op":"check","dtd_id":0,"query":"a[b and c]"}"#);
+        b.proto().handle_line(dtd);
+        let check = format!(r#"{{"op":"check","dtd_id":0,"query":"a[c][b]"{extra}}}"#);
+        let second = b.proto().handle_line(&check);
+        assert!(second.contains(r#""cached":true"#), "{second}");
+        b.proto().handle_line(r#"{"op":"stats"}"#)
+    }
+
+    #[test]
+    fn cross_tenant_hits_count_the_same_with_a_step_budget() {
+        let plain = cross_tenant_stats("");
+        assert!(plain.contains(r#""canonical_hits":1"#), "{plain}");
+        assert!(plain.contains(r#""decision_cache_hits":0"#), "{plain}");
+        assert_eq!(cross_tenant_stats(r#","max_steps":100000"#), plain);
+    }
+
     #[test]
     fn tenant_names_are_validated() {
         assert!(validate_tenant_name("team-a.prod_2").is_ok());

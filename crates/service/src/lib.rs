@@ -10,12 +10,14 @@
 //! * [`Workspace`] — register a DTD once; classification ([`xpsat_dtd::classify()`]),
 //!   normalisation ([`xpsat_dtd::normalize()`]) and the Glushkov automata of every
 //!   content model are computed once and cached as [`DtdArtifacts`].  Queries are
-//!   interned by canonical text ([`QueryId`]), and decisions are memoised per
-//!   `(DtdId, QueryId)` with engine provenance ([`ServedDecision`]).
-//! * [`Workspace::decide_batch`] — fan independent queries out across worker threads
+//!   interned by canonical text ([`QueryId`]), and decisions are cached with engine
+//!   provenance ([`ServedDecision`]) in one content-addressed [`CanonicalCache`],
+//!   keyed by `(DTD fingerprint, canonical query)`.
+//! * [`Workspace::decide_batch_governed`] — the one decide path: looks every
+//!   structural class up once and fans the misses out across worker threads
 //!   (`std::thread::scope`, no extra dependencies) with deterministic, input-ordered
 //!   results that are byte-identical to a sequential [`xpsat_core::Solver::decide`]
-//!   loop.
+//!   loop.  [`Workspace::decide`] is a batch of one.
 //! * [`Session`] — a text-in/decision-out convenience wrapper tracking a current DTD.
 //! * [`ProtocolServer`] — a JSON-lines request/response protocol (`register_dtd`,
 //!   `check`, `batch`, `classify`, `stats`) so the service can be driven as a real
@@ -213,12 +215,23 @@ mod tests {
         let dtd_id = ws.register_dtd(DTD).unwrap();
         let texts = ["a/b", "a[b]", "a[not(b)]", "a/b", "c", "a[b or c]", "b/d"];
         let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
-        let single = ws.decide_batch(dtd_id, &ids, 1).unwrap();
+        let single = ws
+            .decide_batch_governed(dtd_id, &ids, 1, None, None, &mut BatchScratch::default())
+            .unwrap();
         for threads in [2, 4, 8] {
             let mut fresh = Workspace::default();
             let d = fresh.register_dtd(DTD).unwrap();
             let fresh_ids: Vec<QueryId> = texts.iter().map(|t| fresh.intern(t).unwrap()).collect();
-            let multi = fresh.decide_batch(d, &fresh_ids, threads).unwrap();
+            let multi = fresh
+                .decide_batch_governed(
+                    d,
+                    &fresh_ids,
+                    threads,
+                    None,
+                    None,
+                    &mut BatchScratch::default(),
+                )
+                .unwrap();
             assert_eq!(single.len(), multi.len());
             for (a, b) in single.iter().zip(&multi) {
                 assert_eq!(

@@ -292,18 +292,11 @@ impl ProtocolServer {
         // read lock, concurrently with other requests.
         let query = self.write_ws().intern(text)?;
         let ws = self.read_ws();
-        let served = if deadline.is_some() || max_steps.is_some() {
-            // A single-query "batch" gives the check path the same deadline and
-            // budget machinery; the result (and the cached flag) is identical to
-            // decide().
-            self.with_scratch(|scratch| {
+        let served = self
+            .with_scratch(|scratch| {
                 ws.decide_batch_governed(dtd, &[query], 1, deadline, max_steps, scratch)
             })?
-            .pop()
-            .expect("one decision per query")
-        } else {
-            ws.decide(dtd, query)?
-        };
+            .remove(0);
         // A spent step budget is a request-level failure for `check` (a deadline hit
         // already surfaced as ServiceError::DeadlineExceeded above).
         if let Some(cause) = served.decision.exhausted {

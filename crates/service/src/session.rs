@@ -5,7 +5,7 @@
 //! caching lives in the underlying workspace; a session adds no state beyond the
 //! current-DTD cursor.
 
-use crate::workspace::{DtdId, ServedDecision, ServiceError, Workspace};
+use crate::workspace::{BatchScratch, DtdId, ServedDecision, ServiceError, Workspace};
 use xpsat_core::SolverConfig;
 
 /// A stateful façade over one [`Workspace`].
@@ -67,7 +67,14 @@ impl Session {
             .iter()
             .map(|q| self.workspace.intern(q.as_ref()))
             .collect::<Result<Vec<_>, _>>()?;
-        self.workspace.decide_batch(dtd, &ids, threads)
+        self.workspace.decide_batch_governed(
+            dtd,
+            &ids,
+            threads,
+            None,
+            None,
+            &mut BatchScratch::default(),
+        )
     }
 
     /// The underlying workspace (read access: artifacts, stats).

@@ -110,7 +110,8 @@ pub struct StatsSnapshot {
     pub queries_reused: u64,
     /// Decisions computed by running a solver engine.
     pub decisions_computed: u64,
-    /// Decisions served from the memoised `(dtd, query)` cache.
+    /// Decisions served from a verdict this workspace computed: a cached entry it
+    /// published, or a repeat within one batch of a class the batch computed.
     pub decision_cache_hits: u64,
     /// Registrations (or rematerialisations) served from the on-disk artifact store.
     pub artifact_store_hits: u64,
@@ -131,15 +132,18 @@ pub struct StatsSnapshot {
     /// Decisions that spent their step budget and were answered `Unknown` with an
     /// exhaustion marker (never cached).
     pub resource_exhausted: u64,
-    /// Decisions served from the *shared* canonical cache: another workspace (or an
-    /// earlier structurally identical spelling) had already decided the same
-    /// `(DTD fingerprint, canonical query)` instance.
+    /// Decisions served from a verdict *another* workspace published to the shared
+    /// cache (the same `(DTD fingerprint, canonical query)` instance, decided by
+    /// another tenant).  Counted on every such hit, never also as a
+    /// `decision_cache_hits`.
     pub canonical_hits: u64,
-    /// Queries lowered to a decision program by the plan compiler (once per
-    /// `(DTD, canonical query)` class; replayed by the VM thereafter).
+    /// Compile attempts that lowered a class to a decision program.  A class is
+    /// compiled when its verdict is computed (or `classify` asks for its program)
+    /// and no valid program is in the persistent store; a cached verdict never
+    /// compiles.
     pub programs_compiled: u64,
-    /// Queries outside the compiled fragment, noted once and permanently routed to
-    /// the AST solver.
+    /// Compile attempts that bailed (the class is outside the compiled fragment and
+    /// is decided by the AST solver).
     pub program_fallbacks: u64,
     /// Decisions answered by replaying a compiled program in the plan VM.
     pub vm_decides: u64,

@@ -1,5 +1,5 @@
 //! The [`Workspace`]: registered DTDs with precomputed artifacts, interned queries and
-//! a memoised decision cache.
+//! a content-addressed verdict cache.
 //!
 //! The paper's complexity landscape makes per-DTD work (classification, normalisation,
 //! content-model automata) the expensive, *reusable* part of `SAT(X, DTD)`, while
@@ -8,13 +8,13 @@
 //! computed once and cached, and every subsequent decision against it reuses them.
 //! Queries are interned by canonical text so repeated paths share one [`QueryId`],
 //! grouped further into *structural equivalence classes* by the plan compiler's
-//! canonical form (`a[b and c]` ≡ `a[c][b]`), and decided at most once per class
-//! through a memoised `(DtdId, representative)` decision cache.  Classes inside the
-//! compiled fragment are lowered once to a flat [`DecisionProgram`] and every
-//! decision replays it in the allocation-free plan VM; the AST [`Solver`] remains
-//! the oracle for everything else.  Workspaces can additionally share a
-//! [`CanonicalCache`] keyed by `(DTD fingerprint, canonical query)`, so structurally
-//! identical instances are answered across workspace (tenant) boundaries.
+//! canonical form (`a[b and c]` ≡ `a[c][b]`), and decided at most once per class.
+//! Verdicts live in one [`CanonicalCache`] keyed by `(DTD fingerprint, canonical
+//! query)`: a private one by default, or one shared between workspaces (tenants) so
+//! structurally identical instances are answered across workspace boundaries.
+//! Classes inside the compiled fragment are lowered to a flat [`DecisionProgram`]
+//! (from the persistent store when one holds it) and decided in the allocation-free
+//! plan VM; the AST [`Solver`] remains the oracle for everything else.
 //!
 //! Registered artifacts are held as [`Arc<DtdArtifacts>`] behind per-slot residency:
 //! with a [`Workspace::with_resident_bound`] in force, the least-recently-used compiled
@@ -22,20 +22,21 @@
 //! *rematerialised* on next touch — from the optional persistent
 //! [`ArtifactStore`](crate::store::ArtifactStore) when one is attached
 //! ([`Workspace::with_store`]), else by recompiling from the canonical text.  Ids,
-//! interned queries and cached decisions all survive eviction.
+//! interned queries and cached decisions all survive eviction, and a request whose
+//! verdicts are all cached never touches the artifacts.
 //!
-//! All `decide` paths take `&self` (the cache is lock-striped), so one workspace can
-//! be shared across the worker threads of [`Workspace::decide_batch`].  Decisions are
-//! stored and served as [`Arc<Decision>`]: a cache hit is a pointer bump, never a
-//! witness-document clone.
+//! Every decision goes through [`Workspace::decide_batch_governed`] (a single
+//! [`Workspace::decide`] is a batch of one), which takes `&self`, so one workspace
+//! can be shared across worker threads.  Decisions are stored and served as
+//! [`Arc<Decision>`]: a cache hit is a pointer bump, never a witness-document clone.
 
-use crate::canonical::CanonicalCache;
+use crate::canonical::{lock_recovering, CanonicalCache, Instance};
 use crate::stats::{CacheStats, StatsSnapshot};
 use crate::store::{ArtifactStore, StoreMiss};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver, SolverConfig};
 use xpsat_dtd::{normalize, parse_dtd, Dtd, DtdClass, Normalization};
@@ -48,81 +49,10 @@ thread_local! {
     static VM_SCRATCH: RefCell<xpsat_plan::Scratch> = RefCell::new(xpsat_plan::Scratch::new());
 }
 
-/// Number of lock stripes in the decision cache (a power of two).
-///
-/// Worker threads of [`Workspace::decide_batch`] and concurrent [`Workspace::decide`]
-/// callers contend only when their `(DtdId, QueryId)` keys hash to the same stripe, so
-/// the effective contention drops by roughly this factor compared to one global mutex.
-const CACHE_SHARDS: usize = 16;
-
-/// One stripe of the decision cache.
-type CacheShard = Mutex<HashMap<(DtdId, QueryId), Arc<Decision>>>;
-
-/// One stripe of the compiled-program cache.  `None` records "outside the compiled
-/// fragment" so the bail is also paid once per class.
-type ProgramShard = Mutex<HashMap<(DtdId, QueryId), Option<Arc<DecisionProgram>>>>;
-
-/// Lock a mutex, recovering from poison.  Everything guarded this way (cache stripes,
-/// residency slots) holds plain data whose every intermediate state is valid, so a
-/// panic while the lock was held — e.g. a panicking engine isolated by the server's
-/// `catch_unwind` — must not wedge the structure for every later request.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The lock-striped memoised decision cache.
-#[derive(Debug)]
-struct ShardedCache {
-    shards: Vec<CacheShard>,
-}
-
-impl ShardedCache {
-    fn new() -> ShardedCache {
-        ShardedCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    /// The stripe of a key: a multiplicative hash over both ids, taken from the high
-    /// bits (the ids themselves are small sequential integers, so masking low bits
-    /// directly would stripe poorly for single-DTD batches).
-    fn shard_index(key: &(DtdId, QueryId)) -> usize {
-        let h = (key.0 .0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((key.1 .0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        ((h >> 32) as usize) & (CACHE_SHARDS - 1)
-    }
-
-    fn get(&self, key: &(DtdId, QueryId)) -> Option<Arc<Decision>> {
-        lock_recovering(&self.shards[Self::shard_index(key)])
-            .get(key)
-            .cloned()
-    }
-
-    /// Insert unless the key is already present; returns the decision that ended up
-    /// stored (the existing one wins a race, keeping served output deterministic).
-    fn insert_if_absent(&self, key: (DtdId, QueryId), decision: Decision) -> Arc<Decision> {
-        lock_recovering(&self.shards[Self::shard_index(&key)])
-            .entry(key)
-            .or_insert_with(|| Arc::new(decision))
-            .clone()
-    }
-
-    /// [`ShardedCache::insert_if_absent`] for an already-shared decision (a hit from
-    /// the cross-workspace canonical cache republished locally).
-    fn insert_arc_if_absent(
-        &self,
-        key: (DtdId, QueryId),
-        decision: Arc<Decision>,
-    ) -> Arc<Decision> {
-        lock_recovering(&self.shards[Self::shard_index(&key)])
-            .entry(key)
-            .or_insert(decision)
-            .clone()
-    }
-}
+/// Source of workspace ids: the scope under which a workspace's incomplete verdicts
+/// are cached, and the publisher recorded on every verdict it computes.  Starts at 1
+/// because 0 is the verdict cache's shared scope.
+static NEXT_WORKSPACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Handle of a registered DTD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,7 +85,7 @@ pub struct DtdArtifacts {
     pub canonical: String,
     /// Content address of this DTD: FNV-1a-64 of the canonical text, the same key
     /// the on-disk store files entries under.  Keys the cross-workspace
-    /// [`CanonicalCache`] so tenants with private [`DtdId`]s still share verdicts.
+    /// [`CanonicalCache`], so tenants with private [`DtdId`]s still share verdicts.
     pub fingerprint: u64,
     /// Structural classification (Section 6 regimes) — drives engine dispatch.
     pub class: DtdClass,
@@ -190,8 +120,8 @@ pub struct InternedQuery {
     /// names collide here by design; used for workload fleet analytics).
     pub structural_hash: u64,
     /// Id of this query's structural equivalence class representative — the first
-    /// interned member with the same canonical form.  Decision and program caches
-    /// key on it, so every spelling of an instance is decided at most once.
+    /// interned member with the same canonical form.  A batch decides each
+    /// representative once, however many of its spellings it carries.
     pub rep: QueryId,
 }
 
@@ -201,8 +131,8 @@ pub struct ServedDecision {
     /// The solver's verdict, engine and completeness flag.  Shared with the cache:
     /// serving a decision (even a large satisfiable witness) never clones a document.
     pub decision: Arc<Decision>,
-    /// `true` when the decision came out of the memoised cache rather than a solver
-    /// engine run.
+    /// `true` when the decision came out of the verdict cache (or repeats a class
+    /// decided earlier in the same batch) rather than a solver engine run.
     pub cached: bool,
 }
 
@@ -275,32 +205,45 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// One registered DTD: the immutable identity (canonical text) plus the evictable
-/// compiled artifacts.  The id is the slot index, so ids never die — only residency
-/// changes.
+/// One registered DTD: the immutable identity (canonical text and its fingerprint)
+/// plus the evictable compiled artifacts.  The id is the slot index, so ids never
+/// die — only residency changes.
 #[derive(Debug)]
 struct DtdSlot {
-    canonical: String,
+    canonical: Arc<str>,
+    /// FNV-1a-64 of `canonical`: with it the verdict cache is consulted without
+    /// touching (or rebuilding) the artifacts.
+    fingerprint: u64,
     /// The compiled artifacts while resident; `None` after LRU eviction.
     resident: Mutex<Option<Arc<DtdArtifacts>>>,
     /// Logical timestamp of the last touch (from the workspace's LRU clock).
     last_used: AtomicU64,
 }
 
-/// Reusable buffers for [`Workspace::decide_batch_with`]: per-worker result arenas and
-/// the bookkeeping vectors of the lookup phase.  A long-lived caller (the protocol
-/// server) keeps one scratch per connection worker, so steady-state batches allocate
-/// only their output vector.
+/// Reusable buffers for [`Workspace::decide_batch_governed`]: per-worker result
+/// arenas and the bookkeeping of the lookup phase.  A long-lived caller (the
+/// protocol server) keeps one scratch per connection worker, so steady-state batches
+/// allocate only their output vector.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     worker_buffers: Vec<Vec<(QueryId, Decision)>>,
     distinct: Vec<QueryId>,
-    by_shard: Vec<Vec<QueryId>>,
     missing: Vec<QueryId>,
-    resolved: HashMap<QueryId, Arc<Decision>>,
+    resolved: HashMap<QueryId, (Arc<Decision>, Source)>,
 }
 
-/// The satisfiability service: DTD registry, query interner, decision cache.
+/// Where a batch found the decision of one structural class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// Computed by this batch.
+    Computed,
+    /// A cached verdict this workspace computed earlier.
+    Own,
+    /// A cached verdict another workspace published.
+    Foreign,
+}
+
+/// The satisfiability service: DTD registry, query interner, verdict cache.
 #[derive(Debug)]
 pub struct Workspace {
     solver: Solver,
@@ -308,19 +251,18 @@ pub struct Workspace {
     /// the solver config's budget, kept here because the config moves into the
     /// solver).
     default_budget: Budget,
+    /// Unique per workspace in this process (never 0); see [`NEXT_WORKSPACE_ID`].
+    id: u64,
     dtds: Vec<DtdSlot>,
-    dtd_by_canonical: HashMap<String, DtdId>,
+    dtd_by_canonical: HashMap<Arc<str>, DtdId>,
     queries: Vec<InternedQuery>,
     query_by_canonical: HashMap<String, QueryId>,
     /// Structural-class representatives: canonical (plan) text → the first interned
     /// member.  Later spellings intern to fresh ids but share the representative.
     query_by_canon_text: HashMap<String, QueryId>,
-    cache: ShardedCache,
-    /// Compiled decision programs, keyed like the decision cache (on the class
-    /// representative).
-    programs: Vec<ProgramShard>,
-    /// Optional cross-workspace canonical decision cache (shared between tenants).
-    canonical: Option<Arc<CanonicalCache>>,
+    /// The one verdict map: private unless [`Workspace::with_canonical_cache`]
+    /// attached a shared one.
+    cache: Arc<CanonicalCache>,
     stats: CacheStats,
     store: Option<ArtifactStore>,
     /// Maximum number of *resident* compiled artifacts; `None` = unbounded.
@@ -342,14 +284,13 @@ impl Workspace {
         Workspace {
             solver: Solver::new(config),
             default_budget,
+            id: NEXT_WORKSPACE_ID.fetch_add(1, Ordering::Relaxed),
             dtds: Vec::new(),
             dtd_by_canonical: HashMap::new(),
             queries: Vec::new(),
             query_by_canonical: HashMap::new(),
             query_by_canon_text: HashMap::new(),
-            cache: ShardedCache::new(),
-            programs: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            canonical: None,
+            cache: Arc::new(CanonicalCache::new()),
             stats: CacheStats::default(),
             store: None,
             resident_bound: None,
@@ -372,19 +313,13 @@ impl Workspace {
         self
     }
 
-    /// Attach a shared [`CanonicalCache`]: decisions missing locally are looked up —
-    /// and complete fresh decisions published — under their content key
-    /// `(DTD fingerprint, canonical query text)`, so workspaces sharing one cache
-    /// (the server's tenants) answer structurally identical instances from each
-    /// other's work.
+    /// Decide through a shared [`CanonicalCache`] instead of a private one.  Verdicts
+    /// are keyed by content `(DTD fingerprint, canonical query)`, so workspaces
+    /// sharing one cache (the server's tenants) answer structurally identical
+    /// instances from each other's complete verdicts.
     pub fn with_canonical_cache(mut self, cache: Arc<CanonicalCache>) -> Workspace {
-        self.canonical = Some(cache);
+        self.cache = cache;
         self
-    }
-
-    /// The attached shared canonical cache, if any.
-    pub fn canonical_cache(&self) -> Option<&Arc<CanonicalCache>> {
-        self.canonical.as_ref()
     }
 
     /// The attached persistent store, if any.
@@ -418,7 +353,7 @@ impl Workspace {
     /// [`Workspace::register_dtd_value`] with the full [`RegisterOutcome`].
     pub fn register_dtd_value_report(&mut self, dtd: Dtd) -> RegisterOutcome {
         let canonical = dtd.to_string();
-        if let Some(&id) = self.dtd_by_canonical.get(&canonical) {
+        if let Some(&id) = self.dtd_by_canonical.get(canonical.as_str()) {
             CacheStats::bump(&self.stats.dtds_reused);
             return RegisterOutcome {
                 id,
@@ -429,8 +364,10 @@ impl Workspace {
         let (artifacts, from_store) = self.materialize(dtd, canonical.clone());
         CacheStats::bump(&self.stats.dtds_registered);
         let id = DtdId(self.dtds.len());
+        let canonical: Arc<str> = canonical.into();
         self.dtds.push(DtdSlot {
-            canonical: canonical.clone(),
+            canonical: Arc::clone(&canonical),
+            fingerprint: artifacts.fingerprint,
             resident: Mutex::new(Some(artifacts)),
             last_used: AtomicU64::new(self.touch()),
         });
@@ -550,7 +487,7 @@ impl Workspace {
         // Evicted: bring it back from the store or by recompiling.  The canonical
         // text always reparses (it round-tripped at registration).
         let dtd = parse_dtd(&slot.canonical).expect("canonical DTD text round-trips");
-        let (artifacts, _) = self.materialize(dtd, slot.canonical.clone());
+        let (artifacts, _) = self.materialize(dtd, slot.canonical.to_string());
         CacheStats::bump(&self.stats.artifact_rebuilds);
         *resident = Some(Arc::clone(&artifacts));
         drop(resident);
@@ -582,8 +519,7 @@ impl Workspace {
 
     /// Intern an already-parsed query.  Queries with the same `Display` rendering
     /// share an id; queries with the same *structural* canonical form additionally
-    /// share a class representative, and through it every cached decision and
-    /// compiled program.
+    /// share a class representative and every cached verdict.
     pub fn intern_path(&mut self, path: Path) -> QueryId {
         let canonical = path.to_string();
         if let Some(&id) = self.query_by_canonical.get(&canonical) {
@@ -622,112 +558,23 @@ impl Workspace {
         self.queries.len()
     }
 
-    // ---- deciding --------------------------------------------------------------
+    // ---- deciding ----------------------------------------------------------------
 
-    /// Decide one `(dtd, query)` instance, serving from the memoised cache when the
-    /// pair has been decided before.
+    /// Decide one `(dtd, query)` instance under the default budget, serving from the
+    /// verdict cache when the instance has been decided before.
     pub fn decide(&self, dtd: DtdId, query: QueryId) -> Result<ServedDecision, ServiceError> {
-        let budget = self.default_budget;
-        self.decide_governed(dtd, query, &budget)
-    }
-
-    /// [`Workspace::decide`] under an explicit per-call [`Budget`].  A decision that
-    /// exhausts its budget is returned (result `Unknown`, [`Decision::exhausted`] set)
-    /// but **never cached**: the verdict reflects the caller's allowance, not the
-    /// instance, so a later caller with a larger budget must get a fresh run.
-    pub fn decide_governed(
-        &self,
-        dtd: DtdId,
-        query: QueryId,
-        budget: &Budget,
-    ) -> Result<ServedDecision, ServiceError> {
-        self.query(query)?;
-        // All caching keys on the structural class representative, so every spelling
-        // of an instance is decided at most once per workspace.
-        let rep = self.queries[query.0].rep;
-        let key = (dtd, rep);
-        if let Some(hit) = self.cache.get(&key) {
-            // A cache hit must still validate the id (the artifacts call does both).
-            if dtd.0 >= self.dtds.len() {
-                return Err(ServiceError::UnknownDtd(dtd.0));
-            }
-            CacheStats::bump(&self.stats.decision_cache_hits);
-            return Ok(ServedDecision {
-                decision: hit,
-                cached: true,
-            });
-        }
-        let artifacts = self.artifacts(dtd)?;
-        if let Some(hit) = self.shared_lookup(&artifacts, rep) {
-            return Ok(ServedDecision {
-                decision: self.cache.insert_arc_if_absent(key, hit),
-                cached: true,
-            });
-        }
-        let decision = self.compute(dtd, rep, &artifacts, budget);
-        CacheStats::bump(&self.stats.decisions_computed);
-        if decision.exhausted.is_some() {
-            CacheStats::bump(&self.stats.resource_exhausted);
-            return Ok(ServedDecision {
-                decision: Arc::new(decision),
-                cached: false,
-            });
-        }
-        let stored = self.cache.insert_if_absent(key, decision);
-        self.publish_shared(&artifacts, rep, &stored);
-        Ok(ServedDecision {
-            decision: stored,
-            cached: false,
-        })
-    }
-
-    /// Look an instance up in the shared canonical cache (if one is attached),
-    /// counting the hit.
-    fn shared_lookup(&self, artifacts: &DtdArtifacts, rep: QueryId) -> Option<Arc<Decision>> {
-        let shared = self.canonical.as_ref()?;
-        let hit = shared.get(artifacts.fingerprint, &self.queries[rep.0].canon_text)?;
-        CacheStats::bump(&self.stats.canonical_hits);
-        Some(hit)
-    }
-
-    /// Publish a complete, unexhausted decision to the shared canonical cache (if one
-    /// is attached).  Partial or budget-capped verdicts reflect one caller's
-    /// allowance and must never cross workspaces.
-    fn publish_shared(&self, artifacts: &DtdArtifacts, rep: QueryId, decision: &Arc<Decision>) {
-        if !decision.complete || decision.exhausted.is_some() {
-            return;
-        }
-        if let Some(shared) = &self.canonical {
-            shared.publish(
-                artifacts.fingerprint,
-                &self.queries[rep.0].canon_text,
-                Arc::clone(decision),
-            );
-        }
+        self.decide_batch_governed(dtd, &[query], 1, None, None, &mut BatchScratch::default())
+            .map(|mut served| served.remove(0))
     }
 
     /// The compiled decision program of a class representative: from the persistent
     /// store when one is attached and holds a valid entry (zero compiles after a
-    /// restart), else compiled on first touch (and written back).  `None` = outside
-    /// the compiled fragment, decided by the AST solver; the bail reason is counted
-    /// per [`xpsat_plan::BailReason`].
-    fn program_for(
-        &self,
-        dtd: DtdId,
-        rep: QueryId,
-        artifacts: &DtdArtifacts,
-    ) -> Option<Arc<DecisionProgram>> {
-        let key = (dtd, rep);
-        let shard = &self.programs[ShardedCache::shard_index(&key)];
-        if let Some(entry) = lock_recovering(shard).get(&key) {
-            return entry.clone();
-        }
-        // Store lookup and compile both run outside the lock: concurrent first
-        // touches race benignly (the compiler is deterministic, and the first
-        // insert wins below).
+    /// restart), else compiled (and written back).  `None` = outside the compiled
+    /// fragment, decided by the AST solver; the bail reason is counted per
+    /// [`xpsat_plan::BailReason`].  Nothing is memoised in memory: a class is
+    /// compiled only when its verdict is not cached.
+    fn program_for(&self, rep: QueryId, artifacts: &DtdArtifacts) -> Option<DecisionProgram> {
         let query = &self.queries[rep.0];
-        let mut program: Option<Arc<DecisionProgram>> = None;
-        let mut from_store = false;
         if let Some(store) = &self.store {
             match store.load_program(
                 artifacts.fingerprint,
@@ -735,13 +582,12 @@ impl Workspace {
                 &query.canon_text,
                 &artifacts.compiled,
             ) {
-                Ok(rehydrated) => {
+                Ok(program) => {
                     // A store hit is *not* a compile: `programs_compiled` stays
                     // untouched, which is exactly what the restart acceptance
                     // check asserts.
                     CacheStats::bump(&self.stats.program_store_hits);
-                    program = Some(Arc::new(rehydrated));
-                    from_store = true;
+                    return Some(program);
                 }
                 Err(miss) => {
                     if miss == StoreMiss::Invalid {
@@ -751,50 +597,42 @@ impl Workspace {
                 }
             }
         }
-        if !from_store {
-            match xpsat_plan::compile_with_reason(
-                &artifacts.compiled,
-                &query.canon_path,
-                &CompileLimits::default(),
-            ) {
-                Ok(compiled) => {
-                    CacheStats::bump(&self.stats.programs_compiled);
-                    if let Some(store) = &self.store {
-                        if store
-                            .save_program(
-                                artifacts.fingerprint,
-                                query.canonical_hash,
-                                &query.canon_text,
-                                &compiled,
-                            )
-                            .is_ok()
-                        {
-                            CacheStats::bump(&self.stats.program_store_writes);
-                        }
+        match xpsat_plan::compile_with_reason(
+            &artifacts.compiled,
+            &query.canon_path,
+            &CompileLimits::default(),
+        ) {
+            Ok(program) => {
+                CacheStats::bump(&self.stats.programs_compiled);
+                if let Some(store) = &self.store {
+                    if store
+                        .save_program(
+                            artifacts.fingerprint,
+                            query.canonical_hash,
+                            &query.canon_text,
+                            &program,
+                        )
+                        .is_ok()
+                    {
+                        CacheStats::bump(&self.stats.program_store_writes);
                     }
-                    program = Some(Arc::new(compiled));
                 }
-                Err(reason) => {
-                    CacheStats::bump(&self.stats.program_fallbacks);
-                    CacheStats::bump(&self.stats.compile_bailouts[reason.index()]);
-                }
+                Some(program)
+            }
+            Err(reason) => {
+                CacheStats::bump(&self.stats.program_fallbacks);
+                CacheStats::bump(&self.stats.compile_bailouts[reason.index()]);
+                None
             }
         }
-        lock_recovering(shard).entry(key).or_insert(program).clone()
     }
 
     /// Decide one class representative: replay its compiled program in the VM when
     /// the instance is inside the compiled fragment, else run the AST solver on the
-    /// canonical path (so engine dispatch, like the caches, sees one spelling per
+    /// canonical path (so engine dispatch, like the cache, sees one spelling per
     /// class).
-    fn compute(
-        &self,
-        dtd: DtdId,
-        rep: QueryId,
-        artifacts: &DtdArtifacts,
-        budget: &Budget,
-    ) -> Decision {
-        if let Some(program) = self.program_for(dtd, rep, artifacts) {
+    fn compute(&self, rep: QueryId, artifacts: &DtdArtifacts, budget: &Budget) -> Decision {
+        if let Some(program) = self.program_for(rep, artifacts) {
             let replayed = VM_SCRATCH.with(|cell| {
                 xpsat_plan::vm::decide(
                     &program,
@@ -817,51 +655,40 @@ impl Workspace {
             .decide_budgeted(&artifacts.compiled, &self.queries[rep.0].canon_path, budget)
     }
 
-    /// Decide many queries against one registered DTD, fanning the *uncached, distinct*
-    /// instances out across `threads` worker threads.  `results[i]` always corresponds
-    /// to `queries[i]`, and every decision is byte-identical to what a sequential
-    /// [`Solver::decide`] loop would produce (the solver is deterministic and engine
-    /// dispatch depends only on the instance).
-    pub fn decide_batch(
-        &self,
-        dtd: DtdId,
-        queries: &[QueryId],
-        threads: usize,
-    ) -> Result<Vec<ServedDecision>, ServiceError> {
-        self.decide_batch_with(dtd, queries, threads, None, &mut BatchScratch::default())
+    /// The content identity of a class representative against a registered DTD.
+    fn instance<'a>(&'a self, slot: &'a DtdSlot, rep: QueryId) -> Instance<'a> {
+        let query = &self.queries[rep.0];
+        Instance {
+            fingerprint: slot.fingerprint,
+            dtd: &slot.canonical,
+            query_hash: query.canonical_hash,
+            query: &query.canon_text,
+        }
     }
 
-    /// [`Workspace::decide_batch`] with an optional deadline and caller-owned scratch
-    /// buffers.
+    /// Decide many queries against one registered DTD — the one decide
+    /// implementation.  Every query is represented by its structural class, and each
+    /// class is looked up in the verdict cache once; the classes that miss are
+    /// computed exactly once each, fanned out across up to `threads` workers (capped
+    /// at the hardware parallelism).  `results[i]` always corresponds to
+    /// `queries[i]`, and every decision is byte-identical to what a sequential loop
+    /// would produce (the solver is deterministic and engine dispatch depends only on
+    /// the instance).  The DTD's artifacts are touched — and rebuilt, if evicted —
+    /// only when some class misses.
     ///
     /// * `deadline` — workers check it between queries and abandon the batch once it
-    ///   passes.  Decisions computed before expiry are still published to the cache
-    ///   (a retry resumes rather than restarts), the `deadline_exceeded` counter is
-    ///   bumped and [`ServiceError::DeadlineExceeded`] is returned.
-    /// * `scratch` — per-worker result arenas reused across batches; a long-lived
-    ///   caller passes the same scratch every time so steady-state batches stop
-    ///   re-allocating worker buffers and lookup bookkeeping.
-    pub fn decide_batch_with(
-        &self,
-        dtd: DtdId,
-        queries: &[QueryId],
-        threads: usize,
-        deadline: Option<Instant>,
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<ServedDecision>, ServiceError> {
-        self.decide_batch_governed(dtd, queries, threads, deadline, None, scratch)
-    }
-
-    /// [`Workspace::decide_batch_with`] under per-decision resource governance.
-    ///
+    ///   passes; it is also threaded *into* the engines, so a single monster decision
+    ///   is interrupted mid-fixpoint.  Decisions computed before expiry are still
+    ///   cached (a retry resumes rather than restarts), a deadline-interrupted
+    ///   decision is discarded, the `deadline_exceeded` counter is bumped and
+    ///   [`ServiceError::DeadlineExceeded`] is returned.
     /// * `max_steps` — per-*decision* step fuel (falls back to the workspace's default
     ///   budget when `None`).  A decision that spends its fuel comes back `Unknown`
     ///   with [`Decision::exhausted`] set; it is returned in its slot but never
-    ///   published to the cache, and the batch keeps going.
-    /// * `deadline` — also threaded *into* the engines, so a single monster decision
-    ///   is interrupted mid-fixpoint instead of only between queries.  A
-    ///   deadline-interrupted decision is discarded (the batch reports
-    ///   [`ServiceError::DeadlineExceeded`], and a retry recomputes it).
+    ///   cached, and the batch keeps going.
+    /// * `scratch` — per-worker result arenas reused across batches; a long-lived
+    ///   caller passes the same scratch every time so steady-state batches stop
+    ///   re-allocating worker buffers and lookup bookkeeping.
     pub fn decide_batch_governed(
         &self,
         dtd: DtdId,
@@ -875,195 +702,102 @@ impl Workspace {
             max_steps: max_steps.or(self.default_budget.max_steps),
             deadline: deadline.or(self.default_budget.deadline),
         };
-        let artifacts = self.artifacts(dtd)?;
+        let slot = self
+            .dtds
+            .get(dtd.0)
+            .ok_or(ServiceError::UnknownDtd(dtd.0))?;
         for &q in queries {
             self.query(q)?;
         }
 
-        // The distinct structural classes in the batch (every query is represented by
-        // its class representative, so `a[b and c]` and `a[c][b]` are one unit of
-        // work), grouped by cache stripe so the lookup phase takes each stripe lock
-        // exactly once.
+        // The distinct structural classes of the batch, each looked up once.
         scratch.distinct.clear();
-        scratch.distinct.extend(
-            queries
-                .iter()
-                .map(|&q| self.queries[q.0].rep)
-                .collect::<BTreeSet<_>>(),
-        );
-        scratch.by_shard.resize_with(CACHE_SHARDS, Vec::new);
-        for shard in &mut scratch.by_shard {
-            shard.clear();
-        }
-        for &q in &scratch.distinct {
-            scratch.by_shard[ShardedCache::shard_index(&(dtd, q))].push(q);
-        }
-
-        // The distinct query ids not yet in the cache: each is computed exactly once,
-        // no matter how often it repeats in `queries`.  Also collect the already-cached
-        // decisions while the stripe lock is held.
+        scratch
+            .distinct
+            .extend(queries.iter().map(|&q| self.queries[q.0].rep));
+        scratch.distinct.sort_unstable();
+        scratch.distinct.dedup();
         scratch.missing.clear();
         scratch.resolved.clear();
-        for (shard, members) in self.cache.shards.iter().zip(&scratch.by_shard) {
-            if members.is_empty() {
-                continue;
-            }
-            let shard = lock_recovering(shard);
-            for &q in members {
-                match shard.get(&(dtd, q)) {
-                    Some(hit) => {
-                        scratch.resolved.insert(q, hit.clone());
-                    }
-                    None => scratch.missing.push(q),
+        for &rep in &scratch.distinct {
+            match self.cache.get(&self.instance(slot, rep), self.id) {
+                Some((hit, publisher)) => {
+                    let source = if publisher == self.id {
+                        Source::Own
+                    } else {
+                        Source::Foreign
+                    };
+                    scratch.resolved.insert(rep, (hit, source));
                 }
+                None => scratch.missing.push(rep),
             }
         }
-        scratch.missing.sort_unstable();
-        // Sweep the shared canonical cache before spawning workers: instances another
-        // workspace already decided are republished locally and dropped from the
-        // compute set.
-        if let Some(shared) = &self.canonical {
-            let (missing, resolved) = (&mut scratch.missing, &mut scratch.resolved);
-            missing.retain(|&rep| {
-                match shared.get(artifacts.fingerprint, &self.queries[rep.0].canon_text) {
-                    Some(hit) => {
-                        CacheStats::bump(&self.stats.canonical_hits);
-                        resolved.insert(rep, self.cache.insert_arc_if_absent((dtd, rep), hit));
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        let missing = &scratch.missing;
 
         let mut expired = false;
-        if !missing.is_empty() {
+        if !scratch.missing.is_empty() {
+            let artifacts = self.artifacts(dtd)?;
+            let missing = &scratch.missing;
             // Cap the pool at the hardware parallelism: the work is CPU-bound, so
-            // oversubscribed workers only add spawn and scheduling overhead (on a
-            // single-core host every requested width degenerates to one worker).
-            let hardware = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let workers = threads.max(1).min(missing.len()).min(hardware);
+            // oversubscribed workers only add spawn and scheduling overhead.
+            let workers = threads.max(1).min(missing.len()).min(hardware_threads());
             if scratch.worker_buffers.len() < workers {
                 scratch.worker_buffers.resize_with(workers, Vec::new);
             }
-            // Per-worker result buffers, merged at join: workers share nothing but the
-            // work-stealing cursor, the deadline flag and the program cache (touched
-            // once per structural class, then lock-free), so computing a decision
-            // stays contention-free in steady state.  A single-worker batch runs
-            // inline — no scope, no spawn, no join.  Buffers are taken from and
-            // returned to the scratch so their capacity persists across batches.
-            let mut taken: Vec<Vec<(QueryId, Decision)>> = scratch.worker_buffers[..workers]
-                .iter_mut()
-                .map(std::mem::take)
-                .collect();
+            // Workers share nothing but the work-stealing cursor and the deadline
+            // flag, and each fills its own buffer (taken from the scratch so its
+            // capacity persists across batches).
+            let next = AtomicUsize::new(0);
             let deadline_hit = AtomicBool::new(false);
-            if workers == 1 {
-                let buffer = &mut taken[0];
-                for &q in missing.iter() {
+            let work = |local: &mut Vec<(QueryId, Decision)>| {
+                while !deadline_hit.load(Ordering::Relaxed) {
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         deadline_hit.store(true, Ordering::Relaxed);
                         break;
                     }
-                    let decision = self.compute(dtd, q, &artifacts, &budget);
+                    let Some(&rep) = missing.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
+                    let decision = self.compute(rep, &artifacts, &budget);
                     // A deadline interruption mid-decision aborts the batch like the
                     // between-queries check does; a spent step allowance is a result.
                     if decision.exhausted == Some(Exhausted::Deadline) {
                         deadline_hit.store(true, Ordering::Relaxed);
                         break;
                     }
-                    buffer.push((q, decision));
+                    local.push((rep, decision));
                 }
+            };
+            let buffers = &mut scratch.worker_buffers[..workers];
+            if let [only] = buffers {
+                // A single worker runs inline: no scope, no spawn, no join.
+                work(only);
             } else {
-                let next = AtomicUsize::new(0);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = taken
-                        .drain(..)
-                        .map(|mut local| {
-                            let next = &next;
-                            let deadline_hit = &deadline_hit;
-                            let artifacts = &artifacts;
-                            let budget = &budget;
-                            // Deep stacks: the positive engine's witness search
-                            // recurses to its Lemma 4.5 depth bound on schema-sized
-                            // DTDs, and overflowing a worker stack aborts the whole
-                            // process rather than failing the one decision.
-                            std::thread::Builder::new()
-                                .stack_size(xpsat_core::DECIDE_STACK_BYTES)
-                                .spawn_scoped(scope, move || {
-                                    loop {
-                                        if deadline_hit.load(Ordering::Relaxed) {
-                                            break;
-                                        }
-                                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                                            deadline_hit.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                        let i = next.fetch_add(1, Ordering::Relaxed);
-                                        let Some(&q) = missing.get(i) else { break };
-                                        let decision = self.compute(dtd, q, artifacts, budget);
-                                        if decision.exhausted == Some(Exhausted::Deadline) {
-                                            deadline_hit.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                        local.push((q, decision));
-                                    }
-                                    local
-                                })
-                                .expect("spawn batch worker")
-                        })
-                        .collect();
-                    taken = handles
-                        .into_iter()
-                        .map(|h| h.join().expect("batch worker panicked"))
-                        .collect();
+                    for local in buffers.iter_mut() {
+                        let work = &work;
+                        // Deep stacks: the positive engine's witness search recurses
+                        // to its Lemma 4.5 depth bound on schema-sized DTDs, and
+                        // overflowing a worker stack aborts the whole process rather
+                        // than failing the one decision.
+                        std::thread::Builder::new()
+                            .stack_size(xpsat_core::DECIDE_STACK_BYTES)
+                            .spawn_scoped(scope, move || work(local))
+                            .expect("spawn batch worker");
+                    }
                 });
             }
             expired = deadline_hit.load(Ordering::Relaxed);
 
-            // Publish into the cache, one stripe lock per touched stripe; even an
-            // expired batch publishes what it managed to compute.
-            let mut inserts: Vec<Vec<(QueryId, Decision)>> = vec![Vec::new(); CACHE_SHARDS];
-            let mut computed = 0u64;
-            for buffer in &mut taken {
-                computed += buffer.len() as u64;
-                for (q, decision) in buffer.drain(..) {
-                    inserts[ShardedCache::shard_index(&(dtd, q))].push((q, decision));
+            // Cache what was computed — even an expired batch keeps its progress.
+            for (rep, decision) in scratch.worker_buffers.iter_mut().flat_map(|b| b.drain(..)) {
+                CacheStats::bump(&self.stats.decisions_computed);
+                if decision.exhausted.is_some() {
+                    CacheStats::bump(&self.stats.resource_exhausted);
                 }
-            }
-            CacheStats::add(&self.stats.decisions_computed, computed);
-            let mut publishable: Vec<(QueryId, Arc<Decision>)> = Vec::new();
-            for (shard, batch) in self.cache.shards.iter().zip(inserts) {
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut shard = lock_recovering(shard);
-                for (q, decision) in batch {
-                    // Budget-exhausted decisions are served but never cached: the
-                    // `Unknown` reflects this request's allowance, not the instance.
-                    if decision.exhausted.is_some() {
-                        CacheStats::bump(&self.stats.resource_exhausted);
-                        scratch.resolved.insert(q, Arc::new(decision));
-                        continue;
-                    }
-                    let stored = shard
-                        .entry((dtd, q))
-                        .or_insert_with(|| Arc::new(decision))
-                        .clone();
-                    publishable.push((q, Arc::clone(&stored)));
-                    scratch.resolved.insert(q, stored);
-                }
-            }
-            // Mirror fresh complete decisions into the shared canonical cache, after
-            // the stripe locks are released.
-            for (q, stored) in publishable {
-                self.publish_shared(&artifacts, q, &stored);
-            }
-            // Return the (drained) buffers to the scratch, capacity intact.
-            for (slot, buffer) in scratch.worker_buffers.iter_mut().zip(taken) {
-                *slot = buffer;
+                let stored = self
+                    .cache
+                    .insert(&self.instance(slot, rep), self.id, decision);
+                scratch.resolved.insert(rep, (stored, Source::Computed));
             }
         }
 
@@ -1072,41 +806,42 @@ impl Workspace {
             return Err(ServiceError::DeadlineExceeded);
         }
 
-        // Assemble results in request order from the per-batch resolution map — no
-        // further cache locking.  Resolution is per structural class: every spelling
-        // of an instance serves the class decision.
-        let first_served: BTreeSet<QueryId> = scratch.missing.iter().copied().collect();
+        // Assemble results in request order.  The first occurrence of a class this
+        // batch computed is a solver run; every other result is a cache hit, counted
+        // as `canonical_hits` when another workspace published the verdict and as
+        // `decision_cache_hits` otherwise.
         let mut out = Vec::with_capacity(queries.len());
-        let mut fresh_seen: BTreeSet<QueryId> = BTreeSet::new();
         for &q in queries {
-            let rep = self.queries[q.0].rep;
-            // The first occurrence of a freshly computed class counts as a solver
-            // run; repeats within the batch and previously cached pairs are hits.
-            let cached = !(first_served.contains(&rep) && fresh_seen.insert(rep));
-            if cached {
-                CacheStats::bump(&self.stats.decision_cache_hits);
+            let (decision, source) = scratch
+                .resolved
+                .get_mut(&self.queries[q.0].rep)
+                .expect("every class resolved");
+            let cached = *source != Source::Computed;
+            match source {
+                Source::Foreign => CacheStats::bump(&self.stats.canonical_hits),
+                Source::Own => CacheStats::bump(&self.stats.decision_cache_hits),
+                Source::Computed => *source = Source::Own,
             }
             out.push(ServedDecision {
-                decision: scratch.resolved[&rep].clone(),
+                decision: Arc::clone(decision),
                 cached,
             });
         }
         Ok(out)
     }
 
-    /// The compiled decision program of a query against a registered DTD (compiling
-    /// on first touch), or `None` when the query's structural class is outside the
-    /// compiled fragment and is decided by the AST solver.  The protocol's
-    /// `classify` op reports program shape through this.
+    /// The compiled decision program of a query against a registered DTD (loaded from
+    /// the store or compiled, and counted like a decide's), or `None` when the
+    /// query's structural class is outside the compiled fragment and is decided by
+    /// the AST solver.  The protocol's `classify` op reports program shape through
+    /// this.
     pub fn compiled_program(
         &self,
         dtd: DtdId,
         query: QueryId,
-    ) -> Result<Option<Arc<DecisionProgram>>, ServiceError> {
-        self.query(query)?;
-        let rep = self.queries[query.0].rep;
-        let artifacts = self.artifacts(dtd)?;
-        Ok(self.program_for(dtd, rep, &artifacts))
+    ) -> Result<Option<DecisionProgram>, ServiceError> {
+        let rep = self.query(query)?.rep;
+        Ok(self.program_for(rep, &*self.artifacts(dtd)?))
     }
 
     /// Current counter values (including the resident-artifact gauge).
@@ -1122,6 +857,17 @@ impl Workspace {
     }
 }
 
+/// The hardware parallelism, queried once per process: on Linux the query reads
+/// cgroup files, which costs tens of microseconds per call.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Resolve a requested worker-thread count: `0` means "one per available CPU".
 ///
 /// The single source of this policy for the protocol server and the CLI.
@@ -1129,9 +875,7 @@ pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        hardware_threads()
     }
 }
 
@@ -1222,9 +966,27 @@ mod tests {
         ws.decide(c, qc).unwrap();
         let qb = ws.intern("c").unwrap();
         ws.decide(b, qb).unwrap();
+        let rebuilds = ws.stats().artifact_rebuilds;
         let again = ws.decide(a, q).unwrap();
         assert!(again.cached);
-        let _ = (b, c);
+        assert_eq!(ws.stats().artifact_rebuilds, rebuilds);
+
+        // The same holds under a request's own budget and deadline: a fully cached
+        // governed request never rebuilds the evicted DTD.
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        let governed = ws
+            .decide_batch_governed(
+                a,
+                &[q],
+                1,
+                Some(deadline),
+                Some(1_000),
+                &mut BatchScratch::default(),
+            )
+            .unwrap();
+        assert!(governed[0].cached);
+        assert_eq!(ws.stats().artifact_rebuilds, rebuilds);
+        assert_eq!(ws.resident_dtds(), 1);
     }
 
     #[test]
@@ -1257,13 +1019,22 @@ mod tests {
             .collect();
         let expired = Instant::now() - std::time::Duration::from_millis(1);
         let err = ws
-            .decide_batch_with(d, &ids, 2, Some(expired), &mut BatchScratch::default())
+            .decide_batch_governed(
+                d,
+                &ids,
+                2,
+                Some(expired),
+                None,
+                &mut BatchScratch::default(),
+            )
             .unwrap_err();
         assert_eq!(err, ServiceError::DeadlineExceeded);
         assert_eq!(ws.stats().deadline_exceeded, 1);
 
         // Without a deadline the same batch completes, reusing anything published.
-        let served = ws.decide_batch(d, &ids, 2).unwrap();
+        let served = ws
+            .decide_batch_governed(d, &ids, 2, None, None, &mut BatchScratch::default())
+            .unwrap();
         assert_eq!(served.len(), ids.len());
     }
 
@@ -1274,7 +1045,10 @@ mod tests {
             .register_dtd("r -> a*; a -> b | c; b -> #; c -> #;")
             .unwrap();
         let q = ws.intern("a[not(b)]").unwrap();
-        let capped = ws.decide_governed(d, q, &Budget::steps(1)).unwrap();
+        let capped = ws
+            .decide_batch_governed(d, &[q], 1, None, Some(1), &mut BatchScratch::default())
+            .unwrap()
+            .remove(0);
         assert!(capped.decision.exhausted.is_some());
         assert!(matches!(
             capped.decision.result,
@@ -1375,7 +1149,7 @@ mod tests {
             .iter()
             .map(|t| ws.intern(t).unwrap())
             .collect();
-        ws.decide_batch_with(d, &warm, 2, None, &mut scratch)
+        ws.decide_batch_governed(d, &warm, 2, None, None, &mut scratch)
             .unwrap();
         let capacities: Vec<usize> = scratch.worker_buffers.iter().map(Vec::capacity).collect();
         assert!(capacities.iter().any(|&c| c > 0));
@@ -1383,7 +1157,7 @@ mod tests {
             .iter()
             .map(|t| ws.intern(t).unwrap())
             .collect();
-        ws.decide_batch_with(d, &cool, 2, None, &mut scratch)
+        ws.decide_batch_governed(d, &cool, 2, None, None, &mut scratch)
             .unwrap();
         // Buffers kept their allocations (and are drained between uses).
         assert!(scratch.worker_buffers.iter().all(|b| b.is_empty()));

@@ -17,8 +17,9 @@
 //!   shared across query spellings and tenants), lowering to a flat bytecode program,
 //!   and the allocation-free replay VM (in `xpsat-plan`);
 //! * [`service`] — the batched, cached satisfiability service: DTD-artifact caching
-//!   with a persistent on-disk store, query interning, multi-threaded `decide_batch`
-//!   with deadlines, and the JSON-lines protocol (in `xpsat-service`);
+//!   with a persistent on-disk store, query interning, one content-addressed verdict
+//!   cache, multi-threaded batch decides under deadlines and step budgets, and the
+//!   JSON-lines protocol (in `xpsat-service`);
 //! * [`server`] — the persistent multi-tenant network front-end: TCP/Unix-socket
 //!   JSON-lines server with a hand-rolled worker pool, per-tenant workspaces,
 //!   backpressure and the `xpathsat` CLI (in `xpsat-server`).

@@ -1,9 +1,9 @@
 //! Acceptance tests of the satisfiability service (`xpsat-service`), driven through
 //! the `xpathsat` façade:
 //!
-//! 1. `decide_batch` over 100+ queries against one registered DTD agrees verdict-
-//!    for-verdict (via `verdict_fingerprint`) with a sequential `Solver::decide`
-//!    loop, across thread counts, on seeded random DTD/query corpora — the service
+//! 1. `decide_batch_governed` over 100+ queries against one registered DTD agrees
+//!    verdict-for-verdict (via `verdict_fingerprint`) with a sequential
+//!    `Solver::decide` loop, across thread counts, on seeded random DTD/query corpora — the service
 //!    may answer through the compiled-program VM, so the AST solver is the oracle
 //!    for the verdict while every served witness is validated on its own terms;
 //! 2. a repeated batch demonstrates cache reuse: the second run performs *no* DTD
@@ -14,7 +14,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xpathsat::prelude::*;
-use xpathsat::service::{decision_fingerprint, verdict_fingerprint, Json, ProtocolServer, QueryId};
+use xpathsat::service::{
+    decision_fingerprint, verdict_fingerprint, BatchScratch, Json, ProtocolServer, QueryId,
+};
 
 /// Random DTDs in the style of the engine-agreement suite: small alphabets, mixed
 /// operators, always with a terminating root.
@@ -174,7 +176,9 @@ fn workspace_level_batch_is_order_preserving_and_thread_invariant() {
         let mut ws = Workspace::default();
         let d = ws.register_dtd(&dtd.to_string()).unwrap();
         let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
-        let served = ws.decide_batch(d, &ids, threads).unwrap();
+        let served = ws
+            .decide_batch_governed(d, &ids, threads, None, None, &mut BatchScratch::default())
+            .unwrap();
         let fingerprints: Vec<String> = served
             .iter()
             .map(|one| decision_fingerprint(&one.decision))
@@ -211,7 +215,9 @@ fn sharded_cache_agrees_with_per_query_decides_across_entry_points() {
         for &q in ids.iter().take(ids.len() / 2) {
             mixed.decide(dm, q).unwrap();
         }
-        let batched = mixed.decide_batch(dm, &ids, 4).unwrap();
+        let batched = mixed
+            .decide_batch_governed(dm, &ids, 4, None, None, &mut BatchScratch::default())
+            .unwrap();
         for (one, want) in batched.iter().zip(&expected) {
             assert_eq!(&decision_fingerprint(&one.decision), want);
         }
