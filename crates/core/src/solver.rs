@@ -148,8 +148,11 @@ impl Solver {
         let vm_eligible = !features.has_upward()
             && !features.data_value
             && (!features.negation || duplicate_free);
+        // The disjunction-free route answers only `Unsat` and declines otherwise, so a
+        // prediction — which cannot know the verdict — looks past it.
         let ast_engine = ROUTES
             .into_iter()
+            .filter(|route| !matches!(route, Route::DisjunctionFree))
             .find(|route| route.admits(&features, query, artifacts.class()))
             .map_or(EngineKind::Enumeration, Route::engine);
         RoutePrediction {
@@ -167,8 +170,10 @@ enum Route {
     Downward,
     /// Theorem 7.1: `X(→, ←)`.
     Sibling,
-    /// Theorem 4.4: `X(↓, ↓*, ∪, [], =)`, preceded by Theorem 6.8's PTIME unsat
-    /// test under disjunction-free DTDs.
+    /// Theorem 6.8's PTIME unsat test under disjunction-free DTDs, inside the
+    /// positive fragment: answers `Unsat` or declines to [`Route::Positive`].
+    DisjunctionFree,
+    /// Theorem 4.4: `X(↓, ↓*, ∪, [], =)`.
     Positive,
     /// Theorems 5.2/5.3: `X(↓, ↓*, ∪, [], ¬)`.
     Negation,
@@ -184,9 +189,10 @@ enum Route {
 
 /// The dispatch order: cheapest complete engine first.  A route that admits an
 /// instance but yields no verdict falls through to the next admitting route.
-const ROUTES: [Route; 7] = [
+const ROUTES: [Route; 8] = [
     Route::Downward,
     Route::Sibling,
+    Route::DisjunctionFree,
     Route::Positive,
     Route::Negation,
     Route::UpDown,
@@ -194,12 +200,22 @@ const ROUTES: [Route; 7] = [
     Route::Enumeration,
 ];
 
+/// The second-round dispatch after recursion elimination: never recurses further,
+/// and skips the disjunction-free short-cut.
+const RETRY_ROUTES: [Route; 3] = [Route::Positive, Route::Negation, Route::Enumeration];
+
 impl Route {
     /// Does this route's fragment admit the instance?
     fn admits(self, features: &Features, query: &Path, class: &DtdClass) -> bool {
         match self {
             Route::Downward => downward::supports_features(features),
             Route::Sibling => sibling::supports(query),
+            Route::DisjunctionFree => {
+                positive::supports_features(features)
+                    && !features.data_value
+                    && class.disjunction_free
+                    && djfree::supports_query_features(features)
+            }
             Route::Positive => positive::supports_features(features),
             Route::Negation => negation::supports_features(features),
             Route::UpDown => {
@@ -221,6 +237,7 @@ impl Route {
         match self {
             Route::Downward => EngineKind::Downward,
             Route::Sibling => EngineKind::Sibling,
+            Route::DisjunctionFree => EngineKind::DisjunctionFree,
             Route::Positive => EngineKind::Positive,
             Route::Negation => EngineKind::NegationFixpoint,
             Route::UpDown | Route::Unrecurse => EngineKind::Rewritten,
@@ -379,15 +396,26 @@ impl Solver {
         query: &Path,
         budget: &Budget,
     ) -> Decision {
-        let meter = budget.meter();
+        self.dispatch(&ROUTES, artifacts, query, &budget.meter())
+    }
+
+    /// Walk `routes` in order: the first admitting route that answers decides.  The
+    /// last route must be [`Route::Enumeration`], which admits and answers everything.
+    fn dispatch(
+        &self,
+        routes: &[Route],
+        artifacts: &DtdArtifacts,
+        query: &Path,
+        meter: &BudgetMeter,
+    ) -> Decision {
         // One feature scan serves every fragment test (the engines' own
         // `supports(query)` wrappers would each rescan the path).
         let features = Features::of_path(query);
         let class = artifacts.class();
-        ROUTES
-            .into_iter()
+        routes
+            .iter()
             .filter(|route| route.admits(&features, query, class))
-            .find_map(|route| self.run_route(route, artifacts, query, &features, &meter))
+            .find_map(|&route| self.run_route(route, artifacts, query, meter))
             .expect("enumeration admits and answers every instance")
     }
 
@@ -397,7 +425,6 @@ impl Solver {
         route: Route,
         artifacts: &DtdArtifacts,
         query: &Path,
-        features: &Features,
         meter: &BudgetMeter,
     ) -> Option<Decision> {
         let engine = route.engine();
@@ -408,22 +435,16 @@ impl Solver {
             Route::Sibling => sibling::decide_with(artifacts, query)
                 .ok()
                 .map(|result| Decision::complete(result, engine)),
-            Route::Positive => {
-                // Prefer the PTIME decision under disjunction-free DTDs; the witness
-                // (when needed) still comes from the positive engine, which is
-                // complete here too.
-                if !features.data_value
-                    && artifacts.class().disjunction_free
-                    && djfree::supports_query_features(features)
-                    && matches!(djfree::decide_with(artifacts, query), Ok(false))
-                {
-                    return Some(Decision::complete(
-                        Satisfiability::Unsatisfiable,
-                        EngineKind::DisjunctionFree,
-                    ));
-                }
-                self.decide_positive(artifacts, query, meter)
-            }
+            // The witness of a satisfiable instance comes from the positive engine,
+            // which is complete here too.
+            Route::DisjunctionFree => matches!(djfree::decide_with(artifacts, query), Ok(false))
+                .then(|| Decision::complete(Satisfiability::Unsatisfiable, engine)),
+            Route::Positive => match positive::decide_with_budget(artifacts, query, meter) {
+                Err(cause) => Some(Decision::exhausted(engine, cause)),
+                Ok(Ok(result)) => Some(Decision::complete(result, engine)),
+                // The positive engine rejected the instance.
+                Ok(Err(_)) => None,
+            },
             Route::Negation => self.decide_negation(artifacts, query, meter),
             Route::UpDown => Some(match xpsat_xpath::rewrite::updown_to_qualifiers(query) {
                 // Climbing above the root: unsatisfiable.
@@ -442,7 +463,7 @@ impl Solver {
                     artifacts.class().depth_bound,
                     query,
                 )?;
-                let inner = self.decide_no_recursion_retry(artifacts, &rewritten, meter);
+                let inner = self.dispatch(&RETRY_ROUTES, artifacts, &rewritten, meter);
                 if inner.exhausted.is_some() {
                     return Some(inner);
                 }
@@ -453,39 +474,6 @@ impl Solver {
             }
             Route::Enumeration => Some(self.enumerate(artifacts, query, meter)),
         }
-    }
-
-    /// The positive engine: a verdict, an exhaustion, or `None` when it rejects.
-    fn decide_positive(
-        &self,
-        artifacts: &DtdArtifacts,
-        query: &Path,
-        meter: &BudgetMeter,
-    ) -> Option<Decision> {
-        match positive::decide_with_budget(artifacts, query, meter) {
-            Err(cause) => Some(Decision::exhausted(EngineKind::Positive, cause)),
-            Ok(Ok(result)) => Some(Decision::complete(result, EngineKind::Positive)),
-            Ok(Err(_)) => None,
-        }
-    }
-
-    /// Second-round dispatch used after recursion elimination (never recurses
-    /// further, and skips the disjunction-free short-cut).
-    fn decide_no_recursion_retry(
-        &self,
-        artifacts: &DtdArtifacts,
-        query: &Path,
-        meter: &BudgetMeter,
-    ) -> Decision {
-        positive::supports(query)
-            .then(|| self.decide_positive(artifacts, query, meter))
-            .flatten()
-            .or_else(|| {
-                negation::supports(query)
-                    .then(|| self.decide_negation(artifacts, query, meter))
-                    .flatten()
-            })
-            .unwrap_or_else(|| self.enumerate(artifacts, query, meter))
     }
 
     fn enumerate(&self, artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Decision {

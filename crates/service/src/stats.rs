@@ -140,7 +140,8 @@ pub struct StatsSnapshot {
     /// Compile attempts that lowered a class to a decision program.  A class is
     /// compiled when its verdict is computed (or `classify` asks for its program)
     /// and no valid program is in the persistent store; a cached verdict never
-    /// compiles.
+    /// compiles.  Exhausted and deadline-interrupted verdicts are not cached, so
+    /// each retry of such a class compiles, and counts, again.
     pub programs_compiled: u64,
     /// Compile attempts that bailed (the class is outside the compiled fragment and
     /// is decided by the AST solver).

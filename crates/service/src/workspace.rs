@@ -719,6 +719,11 @@ impl Workspace {
         scratch.distinct.dedup();
         scratch.missing.clear();
         scratch.resolved.clear();
+        // A batch that panicked mid-decide (the server survives it and reuses the
+        // scratch) left its partial results behind; they belong to another request.
+        for buffer in &mut scratch.worker_buffers {
+            buffer.clear();
+        }
         for &rep in &scratch.distinct {
             match self.cache.get(&self.instance(slot, rep), self.id) {
                 Some((hit, publisher)) => {
@@ -1166,5 +1171,55 @@ mod tests {
             .iter()
             .zip(&capacities)
             .all(|(b, &c)| b.capacity() >= c.min(b.capacity())));
+    }
+
+    #[test]
+    fn stale_scratch_results_are_never_cached() {
+        use xpsat_core::{EngineKind, Satisfiability};
+        let shared = Arc::new(CanonicalCache::new());
+        let mut ws = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+        ws.register_dtd(DTD_A).unwrap();
+        let b = ws.register_dtd(DTD_B).unwrap();
+        let (c, d) = (ws.intern("c").unwrap(), ws.intern("d").unwrap());
+        // A batch that panicked mid-decide leaves wrong verdicts for both classes
+        // behind in the scratch the server hands to the tenant's next request.
+        let bogus = || Decision {
+            result: Satisfiability::Unsatisfiable,
+            engine: EngineKind::Downward,
+            complete: true,
+            exhausted: None,
+        };
+        let mut scratch = BatchScratch {
+            worker_buffers: vec![
+                vec![(ws.queries[c.0].rep, bogus())],
+                vec![(ws.queries[d.0].rep, bogus())],
+            ],
+            ..BatchScratch::default()
+        };
+
+        let served = ws
+            .decide_batch_governed(b, &[c], 2, None, None, &mut scratch)
+            .unwrap();
+        assert!(matches!(
+            served[0].decision.result,
+            Satisfiability::Satisfiable(_)
+        ));
+        assert_eq!(ws.stats().decisions_computed, 1);
+        // Neither stale pair reached the cache: `d` is computed fresh, here and in a
+        // workspace sharing the cache.
+        let again = ws.decide(b, d).unwrap();
+        assert!(!again.cached);
+        assert!(matches!(
+            again.decision.result,
+            Satisfiability::Satisfiable(_)
+        ));
+        let mut other = Workspace::default().with_canonical_cache(shared);
+        let b2 = other.register_dtd(DTD_B).unwrap();
+        let c2 = other.intern("c").unwrap();
+        let hit = other.decide(b2, c2).unwrap();
+        assert!(matches!(
+            hit.decision.result,
+            Satisfiability::Satisfiable(_)
+        ));
     }
 }
